@@ -1,6 +1,7 @@
 //! E9 — Section 4.4: implicit links by sequence homology; seeded search vs.
 //! exhaustive Smith-Waterman.
 
+use aladin_seq::align::local_align;
 use aladin_seq::alphabet::Alphabet;
 use aladin_seq::blast::BlastIndex;
 use aladin_seq::score::ScoringScheme;
@@ -9,11 +10,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
-fn random_protein(rng: &mut StdRng, len: usize) -> String {
-    const AA: &[u8] = b"ACDEFGHIKLMNPQRSTVWY";
+fn random_sequence(rng: &mut StdRng, alphabet: &[u8], len: usize) -> String {
     (0..len)
-        .map(|_| AA[rng.gen_range(0..AA.len())] as char)
+        .map(|_| alphabet[rng.gen_range(0..alphabet.len())] as char)
         .collect()
+}
+
+fn random_protein(rng: &mut StdRng, len: usize) -> String {
+    random_sequence(rng, b"ACDEFGHIKLMNPQRSTVWY", len)
 }
 
 fn bench_sequence(c: &mut Criterion) {
@@ -43,9 +47,26 @@ fn bench_sequence(c: &mut Criterion) {
     group.bench_function("exact_search_200_subjects", |b| {
         b.iter(|| index.search_exact(&query))
     });
-    group.bench_function("single_smith_waterman", |b| {
-        let scheme = ScoringScheme::protein();
-        b.iter(|| aladin_seq::align::local_align(&query, &subjects[17], &scheme))
+    group.finish();
+
+    // One alignment each: the homologous pair above, two unrelated
+    // 300-residue proteins, and a DNA query against a protein subject (the
+    // pairing sequence-link discovery no longer aligns).
+    let protein = ScoringScheme::protein();
+    let (a, b) = (random_protein(&mut rng, 300), random_protein(&mut rng, 300));
+    let dna = random_sequence(&mut rng, b"ACGT", 300);
+    let mut group = c.benchmark_group("single_smith_waterman");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(3));
+    group.bench_function("homologous_protein", |bench| {
+        bench.iter(|| local_align(&query, &subjects[17], &protein))
+    });
+    group.bench_function("protein_300x300", |bench| {
+        bench.iter(|| local_align(&a, &b, &protein))
+    });
+    group.bench_function("dna_vs_protein_300x300", |bench| {
+        bench.iter(|| local_align(&dna, &a, &protein))
     });
     group.finish();
 }

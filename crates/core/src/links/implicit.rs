@@ -5,6 +5,10 @@
 //! long text fields (information retrieval / entity recognition) and shared
 //! controlled-vocabulary terms. Each discovery function below handles one of
 //! them and produces object-level [`Link`]s.
+//!
+//! Sequences are compared only within one alphabet class: a nucleotide
+//! sequence only against nucleotide sequences, a protein only against
+//! proteins (see [`discover_sequence_links`]).
 
 use crate::config::AladinConfig;
 use crate::error::AladinResult;
@@ -67,12 +71,67 @@ where
     Ok(out)
 }
 
+/// The alphabet class a sequence is aligned within: [`Alphabet::Dna`] for
+/// nucleotide sequences (DNA or RNA), [`Alphabet::Protein`] for everything
+/// else, including values no alphabet validates.
+fn alphabet_class(sequence: &str) -> Alphabet {
+    match Alphabet::detect(sequence) {
+        Some(alphabet) if alphabet.is_nucleotide() => Alphabet::Dna,
+        _ => Alphabet::Protein,
+    }
+}
+
+/// One seeded index over the target sequences of one alphabet class.
+struct ClassIndex {
+    class: Alphabet,
+    index: BlastIndex,
+    /// Position in the target sequence list of each subject, by ordinal.
+    targets: Vec<usize>,
+}
+
+/// The target side of sequence-link discovery: one [`ClassIndex`] per
+/// alphabet class the target sequences contain.
+struct TargetIndexes(Vec<ClassIndex>);
+
+impl TargetIndexes {
+    fn build(to_seqs: &[(ObjectRef, String)]) -> TargetIndexes {
+        let mut indexes: Vec<ClassIndex> = Vec::new();
+        for (position, (obj, seq)) in to_seqs.iter().enumerate() {
+            let class = alphabet_class(seq);
+            let slot = match indexes.iter().position(|c| c.class == class) {
+                Some(slot) => slot,
+                None => {
+                    indexes.push(ClassIndex {
+                        class,
+                        index: BlastIndex::new(class),
+                        targets: Vec::new(),
+                    });
+                    indexes.len() - 1
+                }
+            };
+            indexes[slot].index.add(obj.accession.as_str(), seq);
+            indexes[slot].targets.push(position);
+        }
+        TargetIndexes(indexes)
+    }
+
+    /// The index a query is searched against: the one of its own class, if
+    /// the target has sequences of that class.
+    fn for_query(&self, sequence: &str) -> Option<&ClassIndex> {
+        let class = alphabet_class(sequence);
+        self.0.iter().find(|c| c.class == class)
+    }
+}
+
 /// Discover sequence-homology links between two sources.
 ///
 /// Sequence fields are recognized from the column statistics ("finding
 /// sequence fields is simple, as those contain only strings over a fixed
-/// alphabet"); the target side is indexed with the seeded homology search and
-/// every source sequence is queried against it.
+/// alphabet"). Only sequences of the same alphabet class are compared: the
+/// target side gets one seeded homology index per class it contains
+/// (nucleotide, protein), and every source sequence is queried against the
+/// index of its own class only. A DNA sequence aligned against proteins
+/// scores as noise and never yields a link.
 pub fn discover_sequence_links(
     from_db: &Database,
     from_structure: &SourceStructure,
@@ -85,29 +144,20 @@ pub fn discover_sequence_links(
     if from_seqs.is_empty() || to_seqs.is_empty() {
         return Ok(Vec::new());
     }
-
-    // Pick the alphabet from the first target sequence.
-    let alphabet = Alphabet::detect(&to_seqs[0].1).unwrap_or(Alphabet::Protein);
-    let mut index = BlastIndex::new(alphabet);
-    let mut target_objects: HashMap<String, (ObjectRef, usize)> = HashMap::new();
-    for (i, (obj, seq)) in to_seqs.iter().enumerate() {
-        let id = format!("{i}");
-        index.add(id.clone(), seq);
-        target_objects.insert(id, (obj.clone(), seq.len()));
-    }
+    let indexes = TargetIndexes::build(&to_seqs);
 
     let mut links = Vec::new();
     let mut seen: HashSet<(ObjectRef, ObjectRef)> = HashSet::new();
     for (from_obj, seq) in &from_seqs {
-        for hit in index.search(seq) {
-            let (to_obj, to_len) = match target_objects.get(&hit.subject_id) {
-                Some(t) => t,
-                None => continue,
-            };
+        let Some(class) = indexes.for_query(seq) else {
+            continue;
+        };
+        for hit in class.index.search(seq) {
+            let (to_obj, to_seq) = &to_seqs[class.targets[hit.subject]];
             if from_obj == to_obj {
                 continue;
             }
-            let similarity = hit.similarity(seq.len(), *to_len);
+            let similarity = hit.similarity(seq.len(), to_seq.len());
             if similarity < config.sequence_link_threshold {
                 continue;
             }
@@ -371,6 +421,130 @@ mod tests {
         assert!(links
             .iter()
             .all(|l| l.from.accession != "P10002" || l.to.accession != "PA0002"));
+    }
+
+    const DNA_A: &str = "ATGGCTAGCTAGGATCCGATCGATTACGGCTAGCTTAGGCATCGAAGT";
+    const DNA_B: &str = "TTGACCGTAAGCTTGCAATCGGATCCATGCAAGTTCGAGGCTAACTCA";
+    const PROT_P: &str = "MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQAPILSRVGDGTQDNL";
+    const PROT_Q: &str = "MSDNGPQNQRNAPRITFGWPSDSTGSNQNGERSGARSKQRRPQGLPNN";
+
+    /// A one-table source: an accession column plus the given sequence
+    /// columns, one row per `(accession, sequences)` entry.
+    fn sequence_source(name: &str, columns: &[&str], rows: &[(&str, &[&str])]) -> Database {
+        let mut db = Database::new(name);
+        let mut defs = vec![ColumnDef::text("acc")];
+        defs.extend(columns.iter().map(|c| ColumnDef::text(*c)));
+        db.create_table("entries", TableSchema::of(defs)).unwrap();
+        for (acc, seqs) in rows {
+            let mut row = vec![Value::text(*acc)];
+            row.extend(seqs.iter().map(|s| Value::text(*s)));
+            db.insert("entries", row).unwrap();
+        }
+        db
+    }
+
+    fn sequence_links(from: &Database, to: &Database) -> Vec<(String, String, String)> {
+        let cfg = config();
+        let (sa, sb) = (
+            analyze_database(from, &cfg).unwrap(),
+            analyze_database(to, &cfg).unwrap(),
+        );
+        discover_sequence_links(from, &sa, to, &sb, &cfg)
+            .unwrap()
+            .into_iter()
+            .map(|l| (l.from.accession, l.to.accession, l.evidence))
+            .collect()
+    }
+
+    #[test]
+    fn dna_queries_skip_a_protein_only_target() {
+        let target = vec![
+            (
+                ObjectRef::new("protkb", "entries", "P1"),
+                PROT_P.to_string(),
+            ),
+            (
+                ObjectRef::new("protkb", "entries", "P2"),
+                PROT_Q.to_string(),
+            ),
+        ];
+        let indexes = TargetIndexes::build(&target);
+        // No nucleotide index exists, so a DNA query is never searched.
+        assert!(indexes.for_query(DNA_A).is_none());
+        assert!(indexes.for_query(&DNA_A.to_lowercase()).is_none());
+        assert_eq!(indexes.for_query(PROT_P).unwrap().targets, vec![0, 1]);
+
+        let genes = sequence_source(
+            "genedb",
+            &["dna"],
+            &[("GN0001", &[DNA_A]), ("GN0002", &[DNA_B])],
+        );
+        let proteins = sequence_source(
+            "protkb",
+            &["protein"],
+            &[("P10001", &[PROT_P]), ("P10002", &[PROT_Q])],
+        );
+        assert!(sequence_links(&genes, &proteins).is_empty());
+        assert!(sequence_links(&proteins, &genes).is_empty());
+    }
+
+    #[test]
+    fn same_class_sequences_still_link() {
+        let genes = sequence_source(
+            "genedb",
+            &["dna"],
+            &[("GN0001", &[DNA_A]), ("GN0002", &[DNA_B])],
+        );
+        let clones = sequence_source(
+            "clonedb",
+            &["dna"],
+            &[("CL0001", &[DNA_B]), ("CL0002", &[DNA_A])],
+        );
+        let links = sequence_links(&genes, &clones);
+        assert!(links.iter().any(|(f, t, _)| f == "GN0001" && t == "CL0002"));
+        assert!(links.iter().any(|(f, t, _)| f == "GN0002" && t == "CL0001"));
+
+        let proteins = sequence_source(
+            "protkb",
+            &["protein"],
+            &[("P10001", &[PROT_P]), ("P10002", &[PROT_Q])],
+        );
+        let archive = sequence_source(
+            "archive",
+            &["protein"],
+            &[("PA0001", &[PROT_Q]), ("PA0002", &[PROT_P])],
+        );
+        let links = sequence_links(&proteins, &archive);
+        assert!(links.iter().any(|(f, t, _)| f == "P10001" && t == "PA0002"));
+        assert!(links.iter().any(|(f, t, _)| f == "P10002" && t == "PA0001"));
+    }
+
+    #[test]
+    fn a_mixed_target_links_each_query_to_its_own_class() {
+        // TX0001 carries DNA_A and TX0002 PROT_Q; the other column of each row holds
+        // a sequence no query resembles.
+        let target = sequence_source(
+            "mixed",
+            &["dna", "protein"],
+            &[("TX0001", &[DNA_A, PROT_P]), ("TX0002", &[DNA_B, PROT_Q])],
+        );
+        let queries = sequence_source(
+            "queries",
+            &["sequence"],
+            &[("QU0001", &[DNA_A]), ("QU0002", &[PROT_Q])],
+        );
+        let links = sequence_links(&queries, &target);
+        let pairs: Vec<(&str, &str)> = links
+            .iter()
+            .map(|(f, t, _)| (f.as_str(), t.as_str()))
+            .collect();
+        assert_eq!(pairs, [("QU0001", "TX0001"), ("QU0002", "TX0002")]);
+        // Each identical pair scored under its own class's scheme: +2 per
+        // nucleotide match, +5 per protein identity.
+        let expected = [DNA_A.len() as i32 * 2, PROT_Q.len() as i32 * 5];
+        for ((_, _, evidence), score) in links.iter().zip(expected) {
+            assert_eq!(*evidence, format!("alignment score {score} identity 1.00"));
+        }
     }
 
     #[test]

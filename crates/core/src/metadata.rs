@@ -202,7 +202,9 @@ impl SourceStructure {
 pub struct StepTiming {
     /// Source the step ran for (the source being integrated).
     pub source: String,
-    /// Step name ("import", "structure discovery", ...).
+    /// Step name ("import", "structure discovery", ...). A name of the form
+    /// `step/phase` ("link discovery/sequence") times one phase of `step`;
+    /// the step's own timing already includes it.
     pub step: String,
     /// For pairwise steps (link discovery, duplicate detection): the
     /// already-integrated source this measurement compared against. `None`
@@ -228,6 +230,12 @@ impl StepTiming {
             output_count: 0,
             pairs_compared: 0,
         }
+    }
+
+    /// True for the timing of one phase of a step (`step/phase`), which the
+    /// step's own timing already includes.
+    pub fn is_phase(&self) -> bool {
+        self.step.contains('/')
     }
 
     /// The `(source, step, pair)` identity of this measurement, used by the
@@ -277,9 +285,15 @@ pub struct PipelineMetrics {
 }
 
 impl PipelineMetrics {
-    /// Total elapsed time across all measurements.
+    /// Total elapsed time across all measurements (phases are counted in
+    /// their steps).
     pub fn total_elapsed(&self) -> Duration {
-        self.timings.iter().map(|t| t.elapsed).sum()
+        self.steps().map(|t| t.elapsed).sum()
+    }
+
+    /// Every measurement except phase timings, which their steps include.
+    fn steps(&self) -> impl Iterator<Item = &StepTiming> {
+        self.timings.iter().filter(|t| !t.is_phase())
     }
 
     /// Total elapsed time of one step across all sources and pairs.
@@ -293,8 +307,7 @@ impl PipelineMetrics {
 
     /// Total elapsed time spent integrating one source (all its steps).
     pub fn source_elapsed(&self, source: &str) -> Duration {
-        self.timings
-            .iter()
+        self.steps()
             .filter(|t| t.source == source)
             .map(|t| t.elapsed)
             .sum()
@@ -318,9 +331,10 @@ impl PipelineMetrics {
             .filter(move |t| t.step == step && t.pair.is_some())
     }
 
-    /// Total attribute/candidate pairs compared across all measurements.
+    /// Total attribute/candidate pairs compared across all measurements
+    /// (phases are counted in their steps).
     pub fn total_pairs_compared(&self) -> usize {
-        self.timings.iter().map(|t| t.pairs_compared).sum()
+        self.steps().map(|t| t.pairs_compared).sum()
     }
 }
 
@@ -653,6 +667,15 @@ mod tests {
             output_count: 12,
             pairs_compared: 9,
         });
+        // A phase of the step above: shown on its own, not counted twice.
+        repo.add_timing(StepTiming {
+            source: "structdb".into(),
+            step: "link discovery/explicit".into(),
+            pair: Some("protkb".into()),
+            elapsed: Duration::from_millis(3),
+            output_count: 12,
+            pairs_compared: 9,
+        });
         repo.add_timing(StepTiming {
             source: "structdb".into(),
             step: "duplicate detection".into(),
@@ -670,14 +693,20 @@ mod tests {
         );
         assert_eq!(metrics.source_elapsed("structdb"), Duration::from_millis(8));
         assert_eq!(
+            metrics.step_elapsed("link discovery/explicit"),
+            Duration::from_millis(3)
+        );
+        assert_eq!(
             metrics.step_names(),
             vec![
                 "structure discovery",
                 "link discovery",
+                "link discovery/explicit",
                 "duplicate detection"
             ]
         );
         assert_eq!(metrics.pair_timings("link discovery").count(), 1);
+        assert_eq!(metrics.pair_timings("link discovery/explicit").count(), 1);
         assert_eq!(metrics.pair_timings("structure discovery").count(), 0);
         assert_eq!(metrics.total_pairs_compared(), 14);
         assert_eq!(

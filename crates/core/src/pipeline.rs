@@ -13,7 +13,7 @@
 //! | 1. Import | `aladin_import::import_files_with` via [`Aladin::add_source_files`] | `"import"` |
 //! | 2. Primary objects (unique attributes, accessions, relationships, primary relation) | [`analyze_database`] → [`crate::unique`], [`crate::accession`], [`crate::relationships`], [`crate::primary`] | `"structure discovery"` |
 //! | 3. Secondary objects | [`analyze_database`] → [`crate::secondary`] | `"structure discovery"` |
-//! | 4. Link discovery (explicit + implicit) | [`crate::links`] per source pair | `"link discovery"` (one [`StepTiming`] per pair) |
+//! | 4. Link discovery (explicit + implicit) | [`crate::links`] per source pair | `"link discovery"` (one [`StepTiming`] per pair), split into `"link discovery/explicit"`, `"/sequence"`, `"/text"` and `"/shared-term"` |
 //! | 5. Duplicate detection | [`crate::duplicates`] per source pair | `"duplicate detection"` (one [`StepTiming`] per pair) |
 //!
 //! # Parallelism and determinism
@@ -232,6 +232,8 @@ struct PairOutcome {
     /// Duplicate candidate pairs scored.
     candidates_scored: usize,
     link_elapsed: Duration,
+    /// One `link discovery/<phase>` timing per link phase that ran.
+    phase_timings: Vec<StepTiming>,
     duplicate_elapsed: Duration,
 }
 
@@ -250,41 +252,47 @@ fn discover_against(
     let mut implicit: Vec<Link> = Vec::new();
     let mut pairs_compared = 0usize;
 
+    // One timing per link phase that ran, recorded as `link discovery/<phase>`.
+    let mut phase_timings: Vec<StepTiming> = Vec::new();
+    let mut phase = |name: &str, started: Instant, output_count: usize, pairs_compared: usize| {
+        phase_timings.push(StepTiming {
+            source: db.name().to_string(),
+            step: format!("link discovery/{name}"),
+            pair: Some(other_db.name().to_string()),
+            elapsed: started.elapsed(),
+            output_count,
+            pairs_compared,
+        });
+    };
+
     let start = Instant::now();
     if plan.explicit {
+        let started = Instant::now();
         let out = discover_explicit_links(db, structure, other_db, other_structure, config)?;
         pairs_compared += out.pairs_compared;
         explicit.extend(out.links);
         let out = discover_explicit_links(other_db, other_structure, db, structure, config)?;
         pairs_compared += out.pairs_compared;
         explicit.extend(out.links);
+        phase("explicit", started, explicit.len(), pairs_compared);
     }
     if plan.sequence {
-        implicit.extend(discover_sequence_links(
-            db,
-            structure,
-            other_db,
-            other_structure,
-            config,
-        )?);
+        let started = Instant::now();
+        let links = discover_sequence_links(db, structure, other_db, other_structure, config)?;
+        phase("sequence", started, links.len(), 0);
+        implicit.extend(links);
     }
     if plan.text {
-        implicit.extend(discover_text_links(
-            db,
-            structure,
-            other_db,
-            other_structure,
-            config,
-        )?);
+        let started = Instant::now();
+        let links = discover_text_links(db, structure, other_db, other_structure, config)?;
+        phase("text", started, links.len(), 0);
+        implicit.extend(links);
     }
     if plan.shared_terms {
-        implicit.extend(discover_shared_term_links(
-            db,
-            structure,
-            other_db,
-            other_structure,
-            config,
-        )?);
+        let started = Instant::now();
+        let links = discover_shared_term_links(db, structure, other_db, other_structure, config)?;
+        phase("shared-term", started, links.len(), 0);
+        implicit.extend(links);
     }
     let link_elapsed = start.elapsed();
 
@@ -308,6 +316,7 @@ fn discover_against(
         pairs_compared,
         candidates_scored,
         link_elapsed,
+        phase_timings,
         duplicate_elapsed: start.elapsed(),
     })
 }
@@ -828,6 +837,7 @@ impl Aladin {
                 output_count: outcome.explicit.len() + outcome.implicit.len(),
                 pairs_compared: outcome.pairs_compared,
             });
+            pair_timings.extend(outcome.phase_timings);
             pair_timings.push(StepTiming {
                 source: name.clone(),
                 step: "duplicate detection".to_string(),
@@ -1231,6 +1241,44 @@ mod tests {
         assert_eq!(aladin.source_count(), 2);
         assert!(r2.total_elapsed() > Duration::ZERO);
         assert!(!aladin.metadata().timings().is_empty());
+    }
+
+    #[test]
+    fn metrics_split_link_discovery_into_its_phases() {
+        let mut aladin = Aladin::new(config());
+        aladin.add_database(protkb()).unwrap();
+        aladin.add_database(structdb()).unwrap();
+        let metrics = aladin.metrics();
+        let phases: Vec<&StepTiming> = metrics
+            .timings
+            .iter()
+            .filter(|t| t.step.starts_with("link discovery/"))
+            .collect();
+        let names: Vec<&str> = phases.iter().map(|t| t.step.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "link discovery/explicit",
+                "link discovery/sequence",
+                "link discovery/text",
+                "link discovery/shared-term"
+            ]
+        );
+        let step = metrics.pair_timings("link discovery").next().unwrap();
+        assert!(phases
+            .iter()
+            .all(|t| t.key() == ("structdb", t.step.as_str(), Some("protkb"))));
+        assert_eq!(
+            phases.iter().map(|t| t.output_count).sum::<usize>(),
+            step.output_count
+        );
+        assert_eq!(phases[0].pairs_compared, step.pairs_compared);
+        // Phases are shown on their own but not counted twice in totals.
+        let steps = metrics.timings.iter().filter(|t| !t.is_phase());
+        assert_eq!(
+            metrics.total_elapsed(),
+            steps.map(|t| t.elapsed).sum::<Duration>()
+        );
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use crate::score::ScoringScheme;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::hint::select_unpredictable;
 
 /// The result of a local alignment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -46,101 +48,135 @@ impl Alignment {
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Trace {
-    Stop,
-    Diagonal,
-    Up,
-    Left,
+/// One cell of the DP row: its score and a summary of the path a traceback
+/// from it would follow. Carrying the summary forward replaces the
+/// traceback matrix. Both summary words pack two 32-bit halves, so that
+/// choosing a move copies two words.
+#[derive(Clone, Copy)]
+struct Cell {
+    score: i32,
+    /// Where the path starts: query offset in the high half, subject offset
+    /// in the low half.
+    start: u64,
+    /// Identities on the path in the high half, diagonal moves in the low
+    /// half. The path's length follows from these and its two spans.
+    counts: u64,
+}
+
+/// `counts` increment of a diagonal move between different residues.
+const DIAGONAL: u64 = 1;
+/// `counts` increment of a diagonal move between identical residues.
+const IDENTITY: u64 = 1 << 32 | DIAGONAL;
+
+impl Cell {
+    /// A zero-score cell at `start` (packed like [`Cell::start`]), where a
+    /// traceback stops: a path ending here starts here.
+    fn stop(start: u64) -> Cell {
+        Cell {
+            score: 0,
+            start,
+            counts: 0,
+        }
+    }
+}
+
+/// Pack a query and a subject offset, both below 2^32, into one word.
+fn pack(i: usize, j: usize) -> u64 {
+    (i as u64) << 32 | j as u64
+}
+
+/// The high and low halves of a packed word.
+fn unpack(word: u64) -> (usize, usize) {
+    ((word >> 32) as usize, (word & u64::from(u32::MAX)) as usize)
+}
+
+thread_local! {
+    /// The DP row, kept between calls so an alignment allocates only when
+    /// its subject is longer than any before it on this thread.
+    static ROW: RefCell<Vec<Cell>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Smith-Waterman local alignment of `query` against `subject`.
 ///
-/// Runs in O(|query| · |subject|) time and memory (the traceback matrix is
-/// kept); sequences are expected to be normalized (uppercase, no whitespace).
+/// Runs in O(|query| · |subject|) time and O(|subject|) memory: one DP row
+/// is kept, and each cell carries the start, identities and diagonal moves
+/// of the path a traceback from it would follow, so no traceback pass is
+/// needed. Of equal-scoring moves the diagonal wins; a gap wins only when
+/// strictly better (up before left), and the reported end is the first best
+/// cell in row-major order. Sequences are expected to be normalized
+/// (uppercase, no whitespace).
+///
+/// # Panics
+///
+/// If either sequence is 2^32 bytes or longer.
 pub fn local_align(query: &str, subject: &str, scheme: &ScoringScheme) -> Alignment {
-    let q = query.as_bytes();
-    let s = subject.as_bytes();
+    let (q, s) = (query.as_bytes(), subject.as_bytes());
+    assert!(
+        u32::try_from(q.len().max(s.len())).is_ok(),
+        "local_align: sequences must be shorter than 2^32 bytes"
+    );
     if q.is_empty() || s.is_empty() {
         return Alignment::empty();
     }
-    let rows = q.len() + 1;
-    let cols = s.len() + 1;
-    let mut score = vec![0i32; rows * cols];
-    let mut trace = vec![Trace::Stop; rows * cols];
-    let mut best = 0i32;
-    let mut best_pos = (0usize, 0usize);
+    ROW.with(|row| align_rows(q, s, scheme, &mut row.borrow_mut()))
+}
 
-    for i in 1..rows {
-        for j in 1..cols {
-            let diag = score[(i - 1) * cols + (j - 1)] + scheme.substitution(q[i - 1], s[j - 1]);
-            let up = score[(i - 1) * cols + j] + scheme.gap_penalty;
-            let left = score[i * cols + (j - 1)] + scheme.gap_penalty;
-            let (v, t) = {
-                let mut v = 0;
-                let mut t = Trace::Stop;
-                if diag > v {
-                    v = diag;
-                    t = Trace::Diagonal;
-                }
-                if up > v {
-                    v = up;
-                    t = Trace::Up;
-                }
-                if left > v {
-                    v = left;
-                    t = Trace::Left;
-                }
-                (v, t)
+/// The DP of [`local_align`] over one reused row.
+fn align_rows(q: &[u8], s: &[u8], scheme: &ScoringScheme, row: &mut Vec<Cell>) -> Alignment {
+    let gap = scheme.gap_penalty;
+    row.clear();
+    row.extend((0..=s.len()).map(|j| Cell::stop(pack(0, j))));
+    let mut best = Cell::stop(0);
+    let mut best_end = 0;
+    for (i, &qc) in (1..).zip(q) {
+        // `diag` is cell (i-1, j-1) and `left` cell (i, j-1); the slot of
+        // cell (i, j) still holds cell (i-1, j) until it is overwritten.
+        let mut here = pack(i, 0);
+        let mut diag = row[0];
+        let mut left = Cell::stop(here);
+        row[0] = left;
+        for (slot, &sc) in row[1..].iter_mut().zip(s) {
+            here += 1;
+            let up = *slot;
+            // The moves are tried diagonal, up, left; each replaces the
+            // choice so far only when strictly better. On unrelated
+            // sequences every choice is a coin toss, so none is a branch.
+            let d = diag.score + scheme.substitution(qc, sc);
+            let diagonal = Cell {
+                score: d,
+                start: diag.start,
+                counts: diag.counts + select_unpredictable(qc == sc, IDENTITY, DIAGONAL),
             };
-            score[i * cols + j] = v;
-            trace[i * cols + j] = t;
-            if v > best {
-                best = v;
-                best_pos = (i, j);
+            let mut cell = select_unpredictable(d > 0, diagonal, Cell::stop(here));
+            let u = up.score + gap;
+            cell = select_unpredictable(u > cell.score, Cell { score: u, ..up }, cell);
+            let l = left.score + gap;
+            cell = select_unpredictable(l > cell.score, Cell { score: l, ..left }, cell);
+            if cell.score > best.score {
+                best = cell;
+                best_end = here;
             }
+            diag = up;
+            left = cell;
+            *slot = cell;
         }
     }
-
-    if best == 0 {
+    if best.score == 0 {
         return Alignment::empty();
     }
-
-    // Traceback.
-    let (mut i, mut j) = best_pos;
-    let (end_i, end_j) = best_pos;
-    let mut identities = 0usize;
-    let mut length = 0usize;
-    while i > 0 && j > 0 {
-        match trace[i * cols + j] {
-            Trace::Stop => break,
-            Trace::Diagonal => {
-                if q[i - 1] == s[j - 1] {
-                    identities += 1;
-                }
-                length += 1;
-                i -= 1;
-                j -= 1;
-            }
-            Trace::Up => {
-                length += 1;
-                i -= 1;
-            }
-            Trace::Left => {
-                length += 1;
-                j -= 1;
-            }
-        }
-    }
-
+    let (query_start, subject_start) = unpack(best.start);
+    let (query_end, subject_end) = unpack(best_end);
+    let (identities, diagonal) = unpack(best.counts);
     Alignment {
-        score: best,
-        query_start: i,
-        query_end: end_i,
-        subject_start: j,
-        subject_end: end_j,
+        score: best.score,
+        query_start,
+        query_end,
+        subject_start,
+        subject_end,
         identities,
-        alignment_length: length,
+        // Each diagonal move spans a query and a subject residue, each gap
+        // one of the two.
+        alignment_length: (query_end - query_start) + (subject_end - subject_start) - diagonal,
     }
 }
 

@@ -7,6 +7,11 @@
 //! k-mer seeds and only then runs the exact local alignment on the best
 //! candidates. `aladin-core` turns the resulting [`HomologyHit`]s into
 //! implicit links between objects.
+//!
+//! An index holds sequences of one alphabet class — nucleotide or protein —
+//! and is queried only with sequences of that class: its word size, score
+//! thresholds and substitution scores are those of the class, and a DNA
+//! sequence aligned against proteins (or the reverse) scores as noise.
 
 use crate::align::{local_align, Alignment};
 use crate::alphabet::Alphabet;
@@ -56,8 +61,9 @@ impl BlastParams {
 /// A reported homology hit between a query and an indexed subject.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HomologyHit {
-    /// Identifier of the subject sequence (as registered in the index).
-    pub subject_id: String,
+    /// Ordinal of the subject sequence: the value [`BlastIndex::add`]
+    /// returned for it (see [`BlastIndex::subject_id`] for its identifier).
+    pub subject: usize,
     /// Number of shared k-mer seeds.
     pub seeds: usize,
     /// The local alignment of query vs. subject.
@@ -120,15 +126,23 @@ impl BlastIndex {
         self.sequences.is_empty()
     }
 
-    /// Add a subject sequence under an identifier.
-    pub fn add(&mut self, id: impl Into<String>, sequence: &str) {
+    /// Add a subject sequence under an identifier; returns its ordinal,
+    /// which hits against it carry as [`HomologyHit::subject`]. Ordinals
+    /// count up from 0 in insertion order.
+    pub fn add(&mut self, id: impl Into<String>, sequence: &str) -> usize {
         let normalized = crate::alphabet::normalize_sequence(sequence);
-        self.kmers.add_sequence(id, &normalized);
         self.sequences.push(normalized);
+        self.kmers
+            .add_sequence(id, &self.sequences[self.sequences.len() - 1])
+    }
+
+    /// The identifier a subject was added under, by ordinal.
+    pub fn subject_id(&self, ordinal: usize) -> Option<&str> {
+        self.kmers.sequence_id(ordinal)
     }
 
     /// Search for homologs of `query`, returning hits sorted by descending
-    /// alignment score.
+    /// alignment score, then by ordinal.
     pub fn search(&self, query: &str) -> Vec<HomologyHit> {
         let query = crate::alphabet::normalize_sequence(query);
         if query.is_empty() || self.is_empty() {
@@ -146,22 +160,13 @@ impl BlastIndex {
                 && alignment.identity() >= self.params.min_identity
             {
                 hits.push(HomologyHit {
-                    subject_id: self
-                        .kmers
-                        .sequence_id(ordinal)
-                        .unwrap_or_default()
-                        .to_string(),
+                    subject: ordinal,
                     seeds,
                     alignment,
                 });
             }
         }
-        hits.sort_by(|a, b| {
-            b.alignment
-                .score
-                .cmp(&a.alignment.score)
-                .then_with(|| a.subject_id.cmp(&b.subject_id))
-        });
+        sort_hits(&mut hits);
         hits
     }
 
@@ -179,24 +184,25 @@ impl BlastIndex {
                 && alignment.identity() >= self.params.min_identity
             {
                 hits.push(HomologyHit {
-                    subject_id: self
-                        .kmers
-                        .sequence_id(ordinal)
-                        .unwrap_or_default()
-                        .to_string(),
+                    subject: ordinal,
                     seeds: 0,
                     alignment,
                 });
             }
         }
-        hits.sort_by(|a, b| {
-            b.alignment
-                .score
-                .cmp(&a.alignment.score)
-                .then_with(|| a.subject_id.cmp(&b.subject_id))
-        });
+        sort_hits(&mut hits);
         hits
     }
+}
+
+/// Order hits by descending alignment score, then by ordinal.
+fn sort_hits(hits: &mut [HomologyHit]) {
+    hits.sort_by(|a, b| {
+        b.alignment
+            .score
+            .cmp(&a.alignment.score)
+            .then(a.subject.cmp(&b.subject))
+    });
 }
 
 #[cfg(test)]
@@ -217,9 +223,10 @@ mod tests {
         let idx = dna_index();
         let hits = idx.search("ACGTACGTACGTACGTACGT");
         assert!(!hits.is_empty());
-        assert_eq!(hits[0].subject_id, "seq_a");
-        assert!(hits.iter().any(|h| h.subject_id == "seq_c"));
-        assert!(hits.iter().all(|h| h.subject_id != "seq_b"));
+        let id = |h: &HomologyHit| idx.subject_id(h.subject);
+        assert_eq!(id(&hits[0]), Some("seq_a"));
+        assert!(hits.iter().any(|h| id(h) == Some("seq_c")));
+        assert!(hits.iter().all(|h| id(h) != Some("seq_b")));
         assert!(hits[0].alignment.identity() > 0.95);
     }
 
@@ -244,16 +251,8 @@ mod tests {
     fn exact_search_is_a_superset_of_seeded_search() {
         let idx = dna_index();
         let query = "ACGTACGTACGTACGTACGT";
-        let seeded: Vec<String> = idx
-            .search(query)
-            .into_iter()
-            .map(|h| h.subject_id)
-            .collect();
-        let exact: Vec<String> = idx
-            .search_exact(query)
-            .into_iter()
-            .map(|h| h.subject_id)
-            .collect();
+        let seeded: Vec<usize> = idx.search(query).iter().map(|h| h.subject).collect();
+        let exact: Vec<usize> = idx.search_exact(query).iter().map(|h| h.subject).collect();
         for id in &seeded {
             assert!(exact.contains(id));
         }
@@ -275,11 +274,12 @@ mod tests {
     #[test]
     fn protein_search_with_conservative_substitutions() {
         let mut idx = BlastIndex::new(Alphabet::Protein);
-        idx.add("prot_a", "MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQ");
+        let prot_a = idx.add("prot_a", "MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQ");
         idx.add("prot_b", "GGGGGGGGGGWWWWWWWWWWPPPPPPPPPP");
         // Query differs from prot_a by a few conservative substitutions.
         let hits = idx.search("MKTAYIAKQRQLSFVKSHFSRQLEERLGLIEVQ");
         assert!(!hits.is_empty());
-        assert_eq!(hits[0].subject_id, "prot_a");
+        assert_eq!(hits[0].subject, prot_a);
+        assert_eq!(idx.subject_id(prot_a), Some("prot_a"));
     }
 }

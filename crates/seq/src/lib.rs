@@ -13,7 +13,8 @@
 //! * [`kmer`] — k-mer indexing of sequence collections (the seeding stage).
 //! * [`score`] — substitution scoring (match/mismatch for nucleotides, a
 //!   compact BLOSUM62-style matrix for proteins) and gap penalties.
-//! * [`align`] — Smith-Waterman local alignment (exact, quadratic).
+//! * [`align`] — Smith-Waterman local alignment (exact; quadratic time,
+//!   linear memory).
 //! * [`blast`] — seed-and-extend homology search over a k-mer index, the
 //!   heuristic used for link discovery at corpus scale.
 

@@ -50,9 +50,10 @@ impl ScoringScheme {
     }
 
     /// Substitution score between two residues (uppercase expected).
+    #[inline]
     pub fn substitution(&self, a: u8, b: u8) -> i32 {
         if self.protein {
-            blosum_like(a, b)
+            i32::from(PROTEIN_SUBSTITUTION[usize::from(a)][usize::from(b)])
         } else if a == b {
             self.match_score
         } else {
@@ -61,18 +62,19 @@ impl ScoringScheme {
     }
 }
 
-/// A compact BLOSUM62-flavoured substitution score.
+/// A compact BLOSUM62-flavoured substitution matrix over all byte pairs,
+/// computed at compile time so alignment scores a cell with one lookup.
 ///
-/// Rather than embedding the full 20×20 matrix, residues are grouped into the
-/// standard BLOSUM conservation groups; identical residues score +5,
-/// same-group substitutions +1 and cross-group substitutions -2. This keeps
-/// the ranking behaviour of BLOSUM62 (identities ≫ conservative substitutions
-/// > non-conservative) which is all the homology-link heuristics depend on.
-fn blosum_like(a: u8, b: u8) -> i32 {
-    if a == b {
-        return 5;
-    }
-    const GROUPS: &[&[u8]] = &[
+/// Rather than embedding the real 20×20 matrix, residues are grouped into the
+/// standard BLOSUM conservation groups; identical bytes score +5,
+/// same-group substitutions +1 (case-insensitively) and every other pair -2.
+/// This keeps the ranking behaviour of BLOSUM62 (identities ≫ conservative
+/// substitutions > non-conservative) which is all the homology-link
+/// heuristics depend on.
+static PROTEIN_SUBSTITUTION: [[i8; 256]; 256] = protein_substitution();
+
+const fn protein_substitution() -> [[i8; 256]; 256] {
+    const GROUPS: [&[u8]; 8] = [
         b"ILMV", // aliphatic
         b"FWY",  // aromatic
         b"KRH",  // basic
@@ -82,15 +84,34 @@ fn blosum_like(a: u8, b: u8) -> i32 {
         b"C",    // cysteine
         b"P",    // proline
     ];
-    let group_of = |x: u8| {
-        GROUPS
-            .iter()
-            .position(|g| g.contains(&x.to_ascii_uppercase()))
-    };
-    match (group_of(a), group_of(b)) {
-        (Some(ga), Some(gb)) if ga == gb => 1,
-        _ => -2,
+    // Group number + 1 of every byte; 0 for bytes in no group.
+    let mut group = [0usize; 256];
+    let mut g = 0;
+    while g < GROUPS.len() {
+        let mut k = 0;
+        while k < GROUPS[g].len() {
+            let residue = GROUPS[g][k];
+            group[residue as usize] = g + 1;
+            group[residue.to_ascii_lowercase() as usize] = g + 1;
+            k += 1;
+        }
+        g += 1;
     }
+    let mut table = [[-2i8; 256]; 256];
+    let mut a = 0;
+    while a < 256 {
+        let mut b = 0;
+        while b < 256 {
+            if a == b {
+                table[a][b] = 5;
+            } else if group[a] != 0 && group[a] == group[b] {
+                table[a][b] = 1;
+            }
+            b += 1;
+        }
+        a += 1;
+    }
+    table
 }
 
 #[cfg(test)]
@@ -127,16 +148,26 @@ mod tests {
 
     #[test]
     fn blosum_like_is_symmetric() {
-        for &a in b"ARNDCQEGHILKMFPSTWYV" {
-            for &b in b"ARNDCQEGHILKMFPSTWYV" {
-                assert_eq!(blosum_like(a, b), blosum_like(b, a));
+        let s = ScoringScheme::protein();
+        for a in 0..=u8::MAX {
+            for b in 0..=u8::MAX {
+                assert_eq!(s.substitution(a, b), s.substitution(b, a));
             }
         }
     }
 
     #[test]
     fn unknown_residues_score_as_radical() {
-        assert_eq!(blosum_like(b'X', b'L'), -2);
-        assert_eq!(blosum_like(b'X', b'X'), 5);
+        let s = ScoringScheme::protein();
+        assert_eq!(s.substitution(b'X', b'L'), -2);
+        assert_eq!(s.substitution(b'X', b'X'), 5);
+    }
+
+    #[test]
+    fn groups_ignore_case_but_identity_does_not() {
+        let s = ScoringScheme::protein();
+        assert_eq!(s.substitution(b'l', b'I'), 1);
+        assert_eq!(s.substitution(b'l', b'L'), 1);
+        assert_eq!(s.substitution(b'l', b'l'), 5);
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the sequence-analysis substrate.
 
-use aladin_seq::align::local_align;
+use aladin_seq::align::{local_align, Alignment};
 use aladin_seq::alphabet::{reverse_complement, Alphabet};
 use aladin_seq::kmer::KmerIndex;
 use aladin_seq::score::ScoringScheme;
@@ -8,6 +8,107 @@ use proptest::prelude::*;
 
 fn dna() -> impl Strategy<Value = String> {
     "[ACGT]{1,60}"
+}
+
+/// Sequences for the kernel oracle: protein, DNA, low-complexity repeats
+/// (which tie many moves and so exercise the tie-breaks), and lengths 0–1.
+fn aligned_sequence() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[ACDEFGHIKLMNPQRSTVWY]{0,70}",
+        "[ACGT]{0,70}",
+        "[A]{0,40}",
+        "[AG]{0,30}",
+        "[ILMV]{0,30}",
+        "[ACGT]{0,1}",
+    ]
+}
+
+/// Reference Smith-Waterman: the full score and traceback matrices,
+/// O(|q|·|s|) memory. Moves are tried diagonal, up, left, each replacing the
+/// previous choice only when strictly better; the end is the first best cell
+/// in row-major order.
+fn naive_local_align(query: &str, subject: &str, scheme: &ScoringScheme) -> Alignment {
+    #[derive(Clone, Copy)]
+    enum Trace {
+        Stop,
+        Diagonal,
+        Up,
+        Left,
+    }
+    let (q, s) = (query.as_bytes(), subject.as_bytes());
+    let cols = s.len() + 1;
+    let mut score = vec![0i32; (q.len() + 1) * cols];
+    let mut trace = vec![Trace::Stop; (q.len() + 1) * cols];
+    let (mut best, mut best_pos) = (0, (0, 0));
+    for i in 1..=q.len() {
+        for j in 1..=s.len() {
+            let diag = score[(i - 1) * cols + j - 1] + scheme.substitution(q[i - 1], s[j - 1]);
+            let up = score[(i - 1) * cols + j] + scheme.gap_penalty;
+            let left = score[i * cols + j - 1] + scheme.gap_penalty;
+            let (mut v, mut t) = (0, Trace::Stop);
+            if diag > v {
+                (v, t) = (diag, Trace::Diagonal);
+            }
+            if up > v {
+                (v, t) = (up, Trace::Up);
+            }
+            if left > v {
+                (v, t) = (left, Trace::Left);
+            }
+            score[i * cols + j] = v;
+            trace[i * cols + j] = t;
+            if v > best {
+                (best, best_pos) = (v, (i, j));
+            }
+        }
+    }
+    if best == 0 {
+        return Alignment::empty();
+    }
+    let (mut i, mut j) = best_pos;
+    let (mut identities, mut length) = (0, 0);
+    while i > 0 && j > 0 {
+        match trace[i * cols + j] {
+            Trace::Stop => break,
+            Trace::Diagonal => {
+                identities += usize::from(q[i - 1] == s[j - 1]);
+                (i, j) = (i - 1, j - 1);
+            }
+            Trace::Up => i -= 1,
+            Trace::Left => j -= 1,
+        }
+        length += 1;
+    }
+    Alignment {
+        score: best,
+        query_start: i,
+        query_end: best_pos.0,
+        subject_start: j,
+        subject_end: best_pos.1,
+        identities,
+        alignment_length: length,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// The linear-memory kernel equals the full-matrix reference on all
+    /// seven fields, under both schemes. Three calls of different sizes run
+    /// one after another on the same thread, so a row buffer left over from
+    /// a longer (or shorter) alignment must not leak into the next one.
+    #[test]
+    fn local_align_matches_full_matrix_oracle(
+        a in aligned_sequence(),
+        b in aligned_sequence(),
+        c in aligned_sequence(),
+    ) {
+        for scheme in [ScoringScheme::protein(), ScoringScheme::nucleotide()] {
+            for (q, s) in [(&a, &b), (&c, &a), (&b, &c)] {
+                prop_assert_eq!(local_align(q, s, &scheme), naive_local_align(q, s, &scheme));
+            }
+        }
+    }
 }
 
 proptest! {
